@@ -50,10 +50,6 @@ class GateNetlist {
   /// rewires ff index `i` to capture `d`.
   void set_flipflop_d(std::size_t i, NetId d);
 
-  /// Replace the library cell of gate `i` (arity must match); used by the
-  /// sizing optimizer to swap drive variants.
-  void set_gate_cell(std::size_t i, std::string cell);
-
   const std::vector<NetId>& primary_inputs() const { return primary_inputs_; }
   const std::vector<NetId>& primary_outputs() const { return primary_outputs_; }
   const std::vector<Gate>& gates() const { return gates_; }

@@ -1,6 +1,5 @@
 #include "src/stco/loop.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -224,7 +223,7 @@ double StcoEngine::cost(const compact::TechnologyPoint& tech) {
   }
   c_misses.add(1);
   // Evaluate outside the lock: this is the expensive part, and concurrent
-  // prefetch tasks must not serialize on it. Two tasks racing on the same
+  // callers must not serialize on it. Two callers racing on the same
   // uncached point both compute the same deterministic value; emplace keeps
   // the first and the duplicate work is bounded by one evaluation.
   const auto rep = evaluate(tech);
@@ -234,50 +233,18 @@ double StcoEngine::cost(const compact::TechnologyPoint& tech) {
   return cost_cache_.emplace(key, c).first->second;
 }
 
-void StcoEngine::prefetch_costs(const TechGrid& grid,
-                                const std::vector<std::size_t>& states) {
-  if (ctx_->threads() == 0) return;  // speculation never pays off inline
-  std::vector<std::size_t> todo(states);
-  std::sort(todo.begin(), todo.end());
-  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    todo.erase(std::remove_if(todo.begin(), todo.end(),
-                              [&](std::size_t s) {
-                                return cost_cache_.count(key_of(grid.point(s))) > 0;
-                              }),
-               todo.end());
-  }
-  if (todo.empty()) return;
-  weights();  // calibrate once up front so tasks don't pile up on call_once
-  ctx_->parallel_for(todo.size(),
-                     [&](std::size_t i) { (void)cost(grid.point(todo[i])); });
-}
-
 SearchResult StcoEngine::optimize() {
   obs::Span span("stco.optimize");
   const TechGrid grid(cfg_.ranges, cfg_.grid_n);
-  SearchHooks hooks;
-  if (ctx_->threads() > 0)
-    hooks.prefetch = [this, &grid](const std::vector<std::size_t>& states) {
-      prefetch_costs(grid, states);
-    };
   return q_learning_search(
-      grid, [this](const compact::TechnologyPoint& t) { return cost(t); }, cfg_.rl,
-      hooks);
+      grid, [this](const compact::TechnologyPoint& t) { return cost(t); }, cfg_.rl);
 }
 
 SearchResult StcoEngine::optimize_random(std::size_t budget) {
   obs::Span span("stco.optimize_random");
   const TechGrid grid(cfg_.ranges, cfg_.grid_n);
-  SearchHooks hooks;
-  if (ctx_->threads() > 0)
-    hooks.prefetch = [this, &grid](const std::vector<std::size_t>& states) {
-      prefetch_costs(grid, states);
-    };
   return random_search(
-      grid, [this](const compact::TechnologyPoint& t) { return cost(t); }, budget, 11,
-      hooks);
+      grid, [this](const compact::TechnologyPoint& t) { return cost(t); }, budget);
 }
 
 obs::Snapshot make_run_snapshot(const StcoTiming& timing,

@@ -50,9 +50,10 @@ struct StcoConfig {
   }
 };
 
-/// Wall-clock accounting for one engine's lifetime. Evaluations may run
-/// concurrently (candidate prefetch), so the counters are atomic; field
-/// reads implicitly load, and printf-style consumers must call .load().
+/// Wall-clock accounting for one engine's lifetime. The engine's public
+/// methods may be called from several threads at once, so the counters are
+/// atomic; field reads implicitly load, and printf-style consumers must call
+/// .load().
 struct StcoTiming {
   std::atomic<double> library_seconds{0.0};  ///< technology loop (TCAD excluded)
   std::atomic<double> sta_seconds{0.0};      ///< system evaluation
@@ -84,10 +85,10 @@ using LibraryBackend = std::variant<SpiceBackend, GnnBackend>;
 class StcoEngine {
  public:
   /// `backend` selects how per-point libraries are built; `ctx` is where
-  /// this engine runs its parallel work (library builds fan out arc
-  /// characterizations; the searches prefetch candidate evaluations). The
-  /// context must outlive the engine. The default serial context reproduces
-  /// single-threaded behavior exactly.
+  /// each library build fans out its arc characterizations. The searches
+  /// evaluate one technology point at a time. The context must outlive the
+  /// engine. Results are bit-identical at any thread count; the default
+  /// serial context runs everything inline.
   StcoEngine(const StcoConfig& cfg, LibraryBackend backend,
              const exec::Context& ctx = exec::Context::serial());
 
@@ -97,21 +98,18 @@ class StcoEngine {
   ~StcoEngine();
 
   /// Library + STA at one technology point (uncached; cost() memoizes).
-  /// Thread-safe: may be called from concurrent prefetch tasks.
+  /// Thread-safe.
   flow::StaReport evaluate(const compact::TechnologyPoint& tech);
 
   /// Scalar PPA cost (weights calibrated on the mid-grid nominal point at
   /// first use). Memoized per technology point under a mutex, so concurrent
-  /// candidate prefetch and the serial search replay see identical values.
+  /// callers see identical values.
   double cost(const compact::TechnologyPoint& tech);
 
-  /// RL exploration over the technology grid. On a threaded context the
-  /// candidate next-states of each step are prefetched concurrently; the
-  /// search trajectory is unchanged because costs are deterministic and
-  /// memoized.
+  /// RL exploration over the technology grid. Builds one library per
+  /// distinct point the agent visits (plus one for weight calibration).
   SearchResult optimize();
-  /// Random-search baseline with a comparable budget (prefetches the whole
-  /// drawn sequence on a threaded context).
+  /// Random-search baseline with a comparable budget.
   SearchResult optimize_random(std::size_t budget);
 
   const StcoTiming& timing() const { return timing_; }
@@ -147,10 +145,6 @@ class StcoEngine {
  private:
   using TechKey = std::tuple<int, double, double, double>;
   static TechKey key_of(const compact::TechnologyPoint& tech);
-
-  /// Warm the cost cache for `states` concurrently. No-op on a serial
-  /// context (speculative evaluation only pays off with extra lanes).
-  void prefetch_costs(const TechGrid& grid, const std::vector<std::size_t>& states);
 
   /// Configuration fingerprint of everything a cached cost depends on.
   std::uint64_t cache_fingerprint() const;

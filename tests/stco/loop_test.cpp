@@ -77,12 +77,20 @@ TEST(StcoEngine, VddKnobTradesSpeedForPower) {
   EXPECT_GT(rh.dynamic_power, rl.dynamic_power);   // but more power
 }
 
+/// One-entry NLDM axes: a quarter of the default per-library SPICE work,
+/// for tests that only need the cost to vary across the technology grid.
+void use_single_point_tables(StcoConfig& cfg) {
+  cfg.lib_opts.slew_axis = {20e-9};
+  cfg.lib_opts.load_axis = {50e-15};
+}
+
 TEST(StcoEngine, RlSearchImprovesOverWorstCorner) {
   StcoConfig cfg;
   cfg.benchmark = "s298";
   cfg.grid_n = 3;
-  cfg.rl.episodes = 3;
-  cfg.rl.steps_per_episode = 6;
+  cfg.rl.episodes = 2;
+  cfg.rl.steps_per_episode = 2;
+  use_single_point_tables(cfg);
   StcoEngine engine(cfg, SpiceBackend{});
   const auto res = engine.optimize();
   // The found best must not be worse than every corner.
@@ -101,6 +109,7 @@ TEST(StcoEngine, InjectedLibraryFailureDegradesToFinitePenalty) {
   cfg.grid_n = 3;
   cfg.rl.episodes = 2;
   cfg.rl.steps_per_episode = 4;
+  use_single_point_tables(cfg);
   // Fault injection through the library hook: every vdd_min technology
   // point "loses" its characterization, as if the sims died after retries.
   const double bad_vdd = cfg.ranges.vdd_min;
@@ -185,8 +194,10 @@ TEST(StcoEngine, ParallelSearchMatchesSerial) {
   cfg.rl.episodes = 2;
   cfg.rl.steps_per_episode = 4;
 
-  // Costs are deterministic and memoized, so concurrent candidate prefetch
-  // must leave the search trajectory — not just the final point — unchanged.
+  // The search evaluates one point at a time; its only parallelism is inside
+  // each library build, which is bit-identical at any thread count. So the
+  // search trajectory — not just the final point — must not depend on the
+  // thread count.
   StcoEngine serial(cfg, GnnBackend{model});
   const auto a = serial.optimize();
   exec::Context ctx(4);
@@ -205,6 +216,20 @@ TEST(StcoEngine, ParallelSearchMatchesSerial) {
 
   // The scheduler actually ran tasks for the parallel engine.
   EXPECT_GT(ctx.stats().tasks_run, 0u);
+}
+
+TEST(StcoEngine, ThreadedSearchEvaluatesEachPointOnce) {
+  StcoConfig cfg;
+  cfg.benchmark = "s298";
+  cfg.grid_n = 3;
+  cfg.rl.episodes = 2;
+  cfg.rl.steps_per_episode = 4;
+  exec::Context ctx(2);
+  StcoEngine engine(cfg, GnnBackend{tiny_model()}, ctx);
+  const auto res = engine.optimize();
+  // Worker threads only speed up each library build: the search builds one
+  // library per distinct point it visits, plus one for weight calibration.
+  EXPECT_LE(engine.timing().evaluations.load(), res.unique_evaluations + 1);
 }
 
 }  // namespace
