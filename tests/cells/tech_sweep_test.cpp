@@ -5,7 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include "src/cells/characterize.hpp"
+
+namespace stco::compact {
+
+// gtest prints a parameter that has no operator<< as a dump of its bytes,
+// and ctest puts that dump into the test name. Dump a copy whose padding
+// after `kind` is zeroed, so the names do not change from build to build.
+static void PrintTo(const TechnologyPoint& tp, std::ostream* os) {
+  unsigned char bytes[sizeof(TechnologyPoint)] = {};
+  std::memcpy(bytes + offsetof(TechnologyPoint, kind), &tp.kind, sizeof tp.kind);
+  std::memcpy(bytes + offsetof(TechnologyPoint, vdd), &tp.vdd, sizeof tp.vdd);
+  std::memcpy(bytes + offsetof(TechnologyPoint, vth), &tp.vth, sizeof tp.vth);
+  std::memcpy(bytes + offsetof(TechnologyPoint, cox), &tp.cox, sizeof tp.cox);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
+}  // namespace stco::compact
 
 namespace stco::cells {
 namespace {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 
 #include "src/tcad/poisson.hpp"
 #include "src/tcad/transport.hpp"
@@ -15,6 +18,16 @@ struct TechBias {
   SemiconductorKind kind;
   double vg_frac;  ///< gate bias as a fraction of 5 V (sign applied per type)
 };
+
+// gtest prints a parameter that has no operator<< as a dump of its bytes,
+// and ctest puts that dump into the test name. Dump a copy whose padding
+// after `kind` is zeroed, so the names do not change from build to build.
+void PrintTo(const TechBias& p, std::ostream* os) {
+  unsigned char bytes[sizeof(TechBias)] = {};
+  std::memcpy(bytes + offsetof(TechBias, kind), &p.kind, sizeof p.kind);
+  std::memcpy(bytes + offsetof(TechBias, vg_frac), &p.vg_frac, sizeof p.vg_frac);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class TcadSweep : public ::testing::TestWithParam<TechBias> {
  protected:
