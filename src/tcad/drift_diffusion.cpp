@@ -118,6 +118,7 @@ DriftDiffusionSolution solve_dd_once(const TftDevice& dev, const Bias& bias,
     // Initial state from the decoupled Poisson solve.
     PoissonOptions popts;
     popts.temperature_k = opts.temperature_k;
+    popts.linear_solver = drift_diffusion_policy(opts.linear_solver);
     // The Gummel loop has its own continuation ladder above this function;
     // give the initializer a direct shot only so failures surface here.
     popts.continuation.enabled = false;
@@ -416,10 +417,10 @@ DriftDiffusionSolution solve_drift_diffusion_ladder(const TftDevice& dev,
   for (std::size_t i = 0; i < m.num_nodes(); ++i)
     if (m.node(i).material == mesh::Material::kSemiconductor) ++ns;
   const std::size_t ns_rows = (m.nx() > 0 && ns % m.nx() == 0) ? ns / m.nx() : 0;
-  numeric::NewtonWorkspace ws_poisson(
-      linear_options_for(opts.linear_solver, m.nx(), m.ny()));
+  const LinearSolverPolicy policy = drift_diffusion_policy(opts.linear_solver);
+  numeric::NewtonWorkspace ws_poisson(linear_options_for(policy, m.nx(), m.ny()));
   numeric::NewtonWorkspace ws_continuity(
-      linear_options_for(opts.linear_solver, ns_rows > 0 ? m.nx() : 0, ns_rows));
+      linear_options_for(policy, ns_rows > 0 ? m.nx() : 0, ns_rows));
   // Continuation progress: one unit per fixed-bias Gummel solve (direct
   // attempt or continuation stage), shared with the Poisson ladder.
   static obs::ProgressTask& prog = obs::progress("tcad.continuation.stages");

@@ -34,6 +34,7 @@ struct DriftDiffusionOptions {
   /// supplied with carriers and the transistor never turns on.
   double contact_doping = 1e24;
   ContinuationPolicy continuation{};  ///< bias-continuation recovery
+  /// kFast stays on ILU(0) at every mesh size (see drift_diffusion_policy).
   LinearSolverPolicy linear_solver = LinearSolverPolicy::kFast;
 };
 

@@ -12,10 +12,24 @@ namespace stco::tcad {
 
 /// Which linear-solver path the Newton loops use.
 enum class LinearSolverPolicy {
-  kFast,    ///< MG-preconditioned Krylov on large structured grids, else ILU(0)
-  kIlu,     ///< the PR-5 fast path without the multigrid rung (bench A/B)
-  kLegacy,  ///< pre-workspace path: Jacobi Krylov + dense fallback (bench A/B)
+  kFast,       ///< ILU(0) Krylov; MG for Poisson from the crossover up
+  kMultigrid,  ///< MG on any structured grid above 32 on a side (bench A/B)
+  kIlu,        ///< the workspace fast path without the multigrid rung (bench A/B)
+  kLegacy,     ///< pre-workspace path: Jacobi Krylov + dense fallback (bench A/B)
 };
+
+/// Smallest grid side on which kFast arms the multigrid rung. Measured by
+/// `bench_solver` (serial, on-bias, ILU(0) ÷ MG wall time): MG loses
+/// nonlinear Poisson up to 64² (0.5–0.8×), is within ±25% of ILU(0) from
+/// 96² to 192² (the winner changes from run to run), and wins 2–2.3× only
+/// at 256²; it loses drift-diffusion at every size measured (see
+/// drift_diffusion_policy). 192 is the smallest side where MG has not lost
+/// in any sweep: it keeps the 256² win and every smaller grid on ILU(0).
+inline constexpr std::size_t kMultigridCrossover = 192;
+
+/// Smallest grid side kMultigrid arms MG on (kFast's threshold before the
+/// crossover was measured).
+inline constexpr std::size_t kMultigridMinSide = 33;
 
 /// Map the policy to workspace options, overriding the Krylov tolerance.
 /// The fast path asks for an extra digit: ILU(0) converges in O(1)
@@ -37,23 +51,38 @@ inline numeric::LinearSolverOptions linear_options_for(LinearSolverPolicy p,
   return o;
 }
 
-/// Grid-aware variant: on kFast, arms the geometric multigrid rung when the
-/// structured grid is large enough for the V-cycle to pay. Below that, the
-/// ILU(0) rung already converges in O(1) iterations and the hierarchy
-/// build/refresh would only add overhead, so small meshes (the test and
-/// dataset defaults) keep their exact PR-5 behaviour. kIlu ignores the grid
-/// entirely — it is the A/B control for benchmarking the MG rung.
+/// Grid-aware variant: arms the geometric multigrid rung when the
+/// structured grid is large enough for the V-cycle to pay. kFast arms it
+/// from kMultigridCrossover on the shorter side; below that the ILU(0)
+/// rung is as fast or faster and the hierarchy build/refresh only adds
+/// overhead, so small and mid-size meshes (the test, dataset and fine
+/// device defaults) keep their exact pre-MG numerics. kMultigrid arms it
+/// from kMultigridMinSide up — the pre-crossover behaviour, kept as the
+/// `bench_solver` A/B control that still exercises the MG rung. kIlu (and
+/// kLegacy) ignore the grid entirely.
 inline numeric::LinearSolverOptions linear_options_for(LinearSolverPolicy p,
                                                        std::size_t grid_nx,
                                                        std::size_t grid_ny,
                                                        double tol = 1e-12) {
   numeric::LinearSolverOptions o = linear_options_for(p, tol);
-  if (p == LinearSolverPolicy::kFast && std::min(grid_nx, grid_ny) > 32) {
+  const std::size_t side = std::min(grid_nx, grid_ny);
+  const bool arm = (p == LinearSolverPolicy::kFast && side >= kMultigridCrossover) ||
+                   (p == LinearSolverPolicy::kMultigrid && side >= kMultigridMinSide);
+  if (arm) {
     o.use_multigrid = true;
     o.mg_nx = grid_nx;
     o.mg_ny = grid_ny;
   }
   return o;
+}
+
+/// The policy a drift-diffusion solve runs all its linear systems under
+/// (Gummel Poisson, continuity, and the initial Poisson solve). kFast maps
+/// to kIlu: the coupled solve loses with MG armed even at the crossover —
+/// at 192² `bench_solver` measured 134 s on kFast (MG on the Poisson
+/// workspace) and 106 s on kMultigrid against 84 s on ILU(0).
+inline LinearSolverPolicy drift_diffusion_policy(LinearSolverPolicy p) {
+  return p == LinearSolverPolicy::kFast ? LinearSolverPolicy::kIlu : p;
 }
 
 /// Bias-continuation recovery: when the direct solve at the target bias

@@ -143,5 +143,22 @@ TEST(Robustness, DriftDiffusionBudgetExhaustionFailsCleanly) {
   EXPECT_TRUE(std::isfinite(sol.drain_current));
 }
 
+// Regression: the nominal CNT device on a 64 x 64 square mesh at
+// vg = +3 V, vd = +1 V ran for minutes and failed while the default policy
+// armed multigrid at this size; on ILU(0) it converges in well under a
+// second, so a 20 s budget leaves ample headroom for slow hosts.
+TEST(Robustness, NominalCntConvergesOnSquare64MeshUnderDefaults) {
+  const TftDevice nominal;
+  const Bias bias{3.0, 1.0, 0.0};
+  const auto mesh = build_mesh(nominal, bias, 64, 42, 21);
+  ASSERT_EQ(mesh.ny(), 64u);
+  DriftDiffusionOptions opts;
+  opts.continuation.wall_clock_budget = 20.0;
+  const auto sol = solve_drift_diffusion(nominal, bias, mesh, opts);
+  ASSERT_TRUE(sol.converged) << to_string(sol.status.reason);
+  EXPECT_TRUE(std::isfinite(sol.drain_current));
+  EXPECT_TRUE(all_finite(sol.potential));
+}
+
 }  // namespace
 }  // namespace stco::tcad
